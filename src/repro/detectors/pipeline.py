@@ -22,7 +22,7 @@ from repro.detectors.optimizer import (
 from repro.detectors.validate import ConfigValidation, validate_frontier
 from repro.detectors.zoo import DETECTOR_KINDS, DetectorContext, make_detectors
 from repro.ir.module import Module
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.sid.profiles import build_profile_from_source
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
@@ -59,7 +59,7 @@ class FrontierResult:
     profile: object = field(repr=False, default=None)
     candidates: list = field(repr=False, default_factory=list)
     validations: list[ConfigValidation] = field(default_factory=list)
-    stopwatch: Stopwatch = None
+    stopwatch: PhaseTimer = None
 
 
 def build_frontier(
@@ -69,7 +69,7 @@ def build_frontier(
     config: FrontierConfig = FrontierConfig(),
 ) -> FrontierResult:
     """Trace (and optionally FI-validate) one app's detector frontier."""
-    sw = Stopwatch()
+    sw = PhaseTimer()
     program = Program(module)
     with sw.phase("profile"):
         dyn = profile_run(program, args=args, bindings=bindings)

@@ -11,10 +11,9 @@ golden-run bounds) — plus an optional module-level algorithm checksum that
 sums named global arrays before every return of ``@main`` and traps when the
 sum leaves its golden band.
 
-When the plan assigns "dup" with sync placement to every selected iid the
-emitted module is *byte-identical* to the legacy ``sid.duplication`` output:
-``repro.sid.duplication`` is now a thin shim over this pass, so classic SID
-and the detector zoo share one code path by construction.
+Classic SID's duplication is the all-"dup" plan with sync placement:
+:func:`duplicate_instructions` builds that plan and runs this pass, so
+classic SID and the detector zoo share one code path by construction.
 """
 
 from __future__ import annotations

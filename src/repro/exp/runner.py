@@ -21,7 +21,7 @@ from repro.exp.config import ScaleConfig
 from repro.exp.results import AppLevelResult
 from repro.fi.campaign import run_campaign
 from repro.sid.coverage import measured_coverage
-from repro.sid.duplication import ProtectedModule
+from repro.detectors.transform import ProtectedModule
 from repro.util.rng import RngStream, derive_seed
 from repro.fabric.harness import fabric_scope
 from repro.vm.batch import engine_scope

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cache.active import active_cache
 from repro.cache.keys import per_instruction_key, whole_program_key
@@ -139,41 +140,167 @@ class PerInstructionResult:
 
 
 # ---------------------------------------------------------------------------
-# Parallel worker machinery. Workers rebuild the Program from module text and
-# cache it per process keyed by identity of the text object's hash. Checkpoint
-# campaigns additionally seed each worker with the golden CheckpointStore and
-# trial context once, via the pool initializer, so per-batch payloads stay
-# small (just the fault tuples).
+# The campaign executor: plan -> run_chunk -> reassemble. ``_plan`` sorts
+# ``(pos, iid, instance, bit, snap_index)`` rows by (snapshot, instance) so
+# trials sharing a snapshot run back-to-back (a cold campaign is the
+# checkpointed one with every row at snapshot -1) and chunks them. Each
+# chunk runs through its engine's ``_ENGINES`` entry against one
+# :class:`_TrialContext`, serially or on pooled workers (pinned once per
+# process by ``_init_worker``, so a chunk payload is just its rows), and
+# rows reassemble by ``pos``: outcomes never depend on the schedule.
 #
-# Telemetry reducer: when the parent has an active obs session, workers
-# install a metrics-only telemetry (pid-guarded, so a forked child never
-# touches the parent's trace file) and return a drained metrics delta with
-# every batch; the parent merges the deltas and emits one ``campaign.batch``
-# record per batch as results stream back. Deterministic counters therefore
-# match the serial path exactly.
+# Telemetry reducer: with an active parent obs session, workers install a
+# metrics-only telemetry (pid-guarded, so a forked child never touches the
+# parent's trace file) and return a drained metrics delta with every chunk;
+# the parent merges them and emits one ``campaign.batch`` record per chunk.
+# Deterministic counters therefore match the serial path exactly.
 # ---------------------------------------------------------------------------
 
-_worker_cache: dict[int, Program] = {}
-_ckpt_worker_ctx: dict = {}
+
+class _TrialContext(NamedTuple):
+    """Everything the trials of one campaign share besides their rows."""
+
+    program: Program
+    store: CheckpointStore | None
+    golden_output: list
+    golden_steps: int
+    args: list | None
+    bindings: dict | None
+    rel_tol: float
+    abs_tol: float
+    engine: str = "scalar"
+    #: Worker side only: the telemetry flag and the span to re-home under.
+    obs: bool = False
+    span_root: str | None = None
+
+
+_worker_program: tuple[str, Program] | None = None
+_worker_ctx: _TrialContext | None = None
 
 
 def _get_program(module_text: str) -> Program:
-    key = hash(module_text)
-    prog = _worker_cache.get(key)
-    if prog is None:
-        prog = Program(parse_module(module_text))
-        _worker_cache.clear()  # one campaign at a time; avoid unbounded growth
-        _worker_cache[key] = prog
-    return prog
+    """Decode ``module_text``, reusing the previous decode of the same text.
+
+    One campaign runs at a time, so one entry suffices; it is matched on
+    the text itself, never on a digest of it that two modules could share.
+    """
+    global _worker_program
+    if _worker_program is None or _worker_program[0] != module_text:
+        _worker_program = (module_text, Program(parse_module(module_text)))
+    return _worker_program[1]
+
+
+def _run_chunk_scalar(ctx: _TrialContext, chunk, tick=None, stats=None):
+    """Scalar engine: one interpreter run per row → ``(pos, iid, outcome)``.
+
+    Rows resume from their snapshot when the campaign has a checkpoint
+    store and start cold otherwise. ``tick(1)`` reports each finished trial;
+    ``stats`` is unused (scalar trials have no lockstep statistics).
+    """
+    kw = dict(
+        args=ctx.args, bindings=ctx.bindings, rel_tol=ctx.rel_tol,
+        abs_tol=ctx.abs_tol,
+    )
+    out = []
+    for pos, iid, instance, bit, snap_index in chunk:
+        site = FaultSite(iid, instance, bit)
+        if ctx.store is None:
+            o = inject_one(
+                ctx.program, site, ctx.golden_output, ctx.golden_steps, **kw
+            )
+        else:
+            o = inject_one_resumed(
+                ctx.program, site, ctx.store, ctx.golden_output,
+                ctx.golden_steps, snapshot_index=snap_index, **kw,
+            )
+        out.append((pos, iid, o.value))
+        if tick is not None:
+            tick(1)
+    return out
+
+
+def _run_chunk_lockstep(ctx: _TrialContext, chunk, tick=None, stats=None):
+    """Batch engine: the whole chunk as one lockstep batch.
+
+    The chunk is pre-sorted by snapshot index, so every fault in it lies
+    after the chunk-minimum snapshot — the whole batch resumes from that
+    one snapshot (cold when -1/no store) with the later snapshots as
+    convergence oracles for detached rows. ``tick`` reports the chunk once
+    it is classified; the engine's :class:`~repro.vm.batch.BatchStats` are
+    merged into ``stats`` when one is given.
+    """
+    faults = [FaultSite(iid, inst, bit).to_spec()
+              for _pos, iid, inst, bit, _si in chunk]
+    snap_index = chunk[0][4]
+    snapshot = convergence = None
+    if ctx.store is not None:
+        if snap_index >= 0:
+            snapshot = ctx.store.snapshots[snap_index]
+        convergence = ctx.store.convergence_from(snap_index)
+    results, st = run_trials_lockstep(
+        ctx.program, faults, args=ctx.args, bindings=ctx.bindings,
+        golden_output=ctx.golden_output, snapshot=snapshot,
+        convergence=convergence, step_limit=ctx.golden_steps * 8 + 10_000,
+    )
+    if stats is not None:
+        stats.merge(st)
+    out = []
+    for (pos, iid, _inst, _bit, _si), (r_out, trap) in zip(chunk, results):
+        o = classify_run(ctx.golden_output, r_out, trap, ctx.rel_tol,
+                         ctx.abs_tol)
+        out.append((pos, iid, o.value))
+    if tick is not None:
+        tick(len(out))
+    return out
+
+
+#: Engine name → chunk runner ``(ctx, chunk, tick, stats) -> rows``.
+_ENGINES = {"scalar": _run_chunk_scalar, "batch": _run_chunk_lockstep}
+
+
+def _plan(sites: list[FaultSite], store: CheckpointStore | None,
+          chunk_size: int) -> list[list[tuple]]:
+    """Sites → chunks of ``(pos, iid, instance, bit, snap_index)`` rows.
+
+    ``pos`` is the site's sampling position, which reassembly restores.
+    """
+    if store is None:
+        snaps = [-1] * len(sites)
+    else:
+        snaps = [store.snapshot_index_for(s.iid, s.instance) for s in sites]
+    order = sorted(
+        range(len(sites)), key=lambda k: (snaps[k], sites[k].instance)
+    )
+    rows = [
+        (k, sites[k].iid, sites[k].instance, sites[k].bit, snaps[k])
+        for k in order
+    ]
+    return [
+        rows[i : i + chunk_size] for i in range(0, len(rows), chunk_size)
+    ]
+
+
+def _reassemble(n: int, rows) -> list[tuple[int, Outcome]]:
+    """``(pos, iid, outcome)`` rows → ``(iid, Outcome)`` in sampling order."""
+    out: list = [None] * n
+    for pos, iid, o in rows:
+        out[pos] = (iid, Outcome(o))
+    return out
+
+
+def _run_chunk(ctx: _TrialContext, chunk, tick=None):
+    """One chunk through its engine's runner, under an infra span."""
+    with _span("chunk", {"trials": len(chunk)}, infra=True):
+        return _ENGINES[ctx.engine](ctx, chunk, tick)
 
 
 def _ensure_worker_obs(enabled: bool, span_root: str | None = None) -> bool:
     """Install (once) a metrics-only telemetry in this worker process.
 
     Returns whether a *worker* telemetry is collecting — ``False`` both when
-    telemetry is off and when the batch runs in-process in the parent, whose
+    telemetry is off and when the chunk runs in-process in the parent, whose
     own session then counts the trials directly (no double accounting).
-    ``span_root`` re-pins the parent span id each batch so worker span
+    ``span_root`` re-pins the parent span id each chunk so worker span
     subtrees attach under the currently dispatching campaign's span.
     """
     if not enabled:
@@ -187,212 +314,48 @@ def _ensure_worker_obs(enabled: bool, span_root: str | None = None) -> bool:
     return t.is_worker
 
 
-def _batch_info(n_trials: int, t0: float, collecting: bool) -> dict | None:
-    """Per-batch telemetry payload shipped back to the parent."""
-    if not collecting:
-        return None
-    t = _obs_current()
-    collecting = t is not None and t.is_worker
-    return {
-        "trials": n_trials,
-        "seconds": time.perf_counter() - t0,
-        "pid": os.getpid(),
-        "metrics": t.metrics.drain() if collecting else None,
-        "spans": t.drain_spans() if collecting else None,
-    }
+def _batch_info(n_trials: int, t0: float) -> dict:
+    """Per-chunk telemetry payload for the parent's reducer.
 
-
-def _batch_info_serial(n_trials: int, t0: float) -> dict:
-    """Batch payload for the in-process serial path (no metrics delta —
-    the parent session already counted the trials directly)."""
-    return {
-        "trials": n_trials,
-        "seconds": time.perf_counter() - t0,
-        "pid": os.getpid(),
-        "metrics": None,
-    }
-
-
-def _init_ckpt_worker(
-    module_text: str,
-    store: CheckpointStore,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    obs_enabled: bool = False,
-    span_root: str | None = None,
-) -> None:
-    """Per-process initializer: decode the program and pin the trial context."""
-    _ckpt_worker_ctx.clear()
-    _ckpt_worker_ctx.update(
-        program=_get_program(module_text),
-        store=store,
-        golden_output=golden_output,
-        golden_steps=golden_steps,
-        args=args,
-        bindings=bindings,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        obs=obs_enabled,
-        span_root=span_root,
-    )
-
-
-def _inject_batch_resumed(batch):
-    """Worker entry: checkpoint-resumed trials → ((pos, iid, outcome)…, info)."""
-    ctx = _ckpt_worker_ctx
-    collecting = _ensure_worker_obs(ctx.get("obs", False), ctx.get("span_root"))
-    t0 = time.perf_counter()
-    prog = ctx["program"]
-    store = ctx["store"]
-    out: list[tuple[int, int, str]] = []
-    with _span("chunk", {"trials": len(batch)}, infra=True):
-        for pos, iid, instance, bit, snap_index in batch:
-            o = inject_one_resumed(
-                prog,
-                FaultSite(iid, instance, bit),
-                store,
-                ctx["golden_output"],
-                ctx["golden_steps"],
-                args=ctx["args"],
-                bindings=ctx["bindings"],
-                rel_tol=ctx["rel_tol"],
-                abs_tol=ctx["abs_tol"],
-                snapshot_index=snap_index,
-            )
-            out.append((pos, iid, o.value))
-    return out, _batch_info(len(out), t0, collecting)
-
-
-def _inject_batch(payload):
-    """Worker entry: cold trials → ((iid, outcome) pairs, telemetry info)."""
-    (
-        module_text,
-        args,
-        bindings,
-        sites,
-        golden_output,
-        golden_steps,
-        rel_tol,
-        abs_tol,
-        obs_enabled,
-        span_root,
-    ) = payload
-    collecting = _ensure_worker_obs(obs_enabled, span_root)
-    t0 = time.perf_counter()
-    prog = _get_program(module_text)
-    out: list[tuple[int, str]] = []
-    with _span("chunk", {"trials": len(sites)}, infra=True):
-        for iid, instance, bit in sites:
-            o = inject_one(
-                prog,
-                FaultSite(iid, instance, bit),
-                golden_output,
-                golden_steps,
-                args=args,
-                bindings=bindings,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            )
-            out.append((iid, o.value))
-    return out, _batch_info(len(out), t0, collecting)
-
-
-def _init_lockstep_worker(
-    module_text: str,
-    store: CheckpointStore | None,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    obs_enabled: bool = False,
-    span_root: str | None = None,
-) -> None:
-    """Per-process initializer for pooled lockstep chunks."""
-    _ckpt_worker_ctx.clear()
-    _ckpt_worker_ctx.update(
-        program=_get_program(module_text),
-        store=store,
-        golden_output=golden_output,
-        golden_steps=golden_steps,
-        args=args,
-        bindings=bindings,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        obs=obs_enabled,
-        span_root=span_root,
-    )
-
-
-def _run_chunk_lockstep(
-    program: Program,
-    chunk: list,
-    store: CheckpointStore | None,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-) -> list[tuple[int, int, str]]:
-    """One lockstep batch: ``chunk`` rows → ``(pos, iid, outcome)`` rows.
-
-    The chunk is pre-sorted by snapshot index, so every fault in it lies
-    after the chunk-minimum snapshot — the whole batch resumes from that
-    one snapshot (cold when -1/no store) with the later snapshots as
-    convergence oracles for detached rows.
+    A worker telemetry ships its drained metrics delta and span subtrees;
+    in the parent both are ``None``, its session having counted directly.
     """
-    faults = [FaultSite(iid, inst, bit).to_spec()
-              for _pos, iid, inst, bit, _si in chunk]
-    snap_index = chunk[0][4]
-    snapshot = convergence = None
-    if store is not None:
-        if snap_index >= 0:
-            snapshot = store.snapshots[snap_index]
-        convergence = store.convergence_from(snap_index)
-    with _span("chunk", {"trials": len(chunk)}, infra=True):
-        results, _stats = run_trials_lockstep(
-            program,
-            faults,
-            args=args,
-            bindings=bindings,
-            golden_output=golden_output,
-            snapshot=snapshot,
-            convergence=convergence,
-            step_limit=golden_steps * 8 + 10_000,
-        )
-    out = []
-    for (pos, iid, _inst, _bit, _si), (r_out, trap) in zip(chunk, results):
-        o = classify_run(golden_output, r_out, trap, rel_tol, abs_tol)
-        out.append((pos, iid, o.value))
-    return out
+    t = _obs_current()
+    worker = t is not None and t.is_worker
+    return {
+        "trials": n_trials,
+        "seconds": time.perf_counter() - t0,
+        "pid": os.getpid(),
+        "metrics": t.metrics.drain() if worker else None,
+        "spans": t.drain_spans() if worker else None,
+    }
 
 
-def _inject_chunk_lockstep(chunk):
-    """Worker entry: one lockstep batch → ((pos, iid, outcome)…, info)."""
-    ctx = _ckpt_worker_ctx
-    collecting = _ensure_worker_obs(ctx.get("obs", False), ctx.get("span_root"))
+def _init_worker(module_text: str, *fields) -> None:
+    """Per-process initializer: decode the program, pin the trial context.
+
+    ``fields`` are the :class:`_TrialContext` fields after ``program``.
+    """
+    global _worker_ctx
+    _worker_ctx = _TrialContext(_get_program(module_text), *fields)
+
+
+def _worker_chunk(chunk):
+    """Worker entry: one chunk → ((pos, iid, outcome)…, telemetry info)."""
+    ctx = _worker_ctx
+    collecting = _ensure_worker_obs(ctx.obs, ctx.span_root)
     t0 = time.perf_counter()
-    out = _run_chunk_lockstep(
-        ctx["program"], chunk, ctx["store"], ctx["golden_output"],
-        ctx["golden_steps"], ctx["args"], ctx["bindings"], ctx["rel_tol"],
-        ctx["abs_tol"],
-    )
-    return out, _batch_info(len(out), t0, collecting)
+    rows = _run_chunk(ctx, chunk)
+    return rows, (_batch_info(len(rows), t0) if collecting else None)
 
 
 def _merge_batch_info(t, cid: str | None, info: dict | None, mode: str) -> None:
-    """Parent side of the reducer: fold one batch's telemetry into the run."""
+    """Parent side of the reducer: fold one chunk's telemetry into the run."""
     if t is None or info is None:
         return
     if info["metrics"]:
         t.metrics.merge(info["metrics"])
-    for rec in info.get("spans") or ():
+    for rec in info["spans"] or ():
         # Shipped worker spans re-home under the parent's run id; their
         # span/parent ids (``w{pid}-{n}``) are unique across the whole run.
         rec["run"] = t.run_id
@@ -414,318 +377,55 @@ def _merge_batch_info(t, cid: str | None, info: dict | None, mode: str) -> None:
     )
 
 
-def _note_campaign(
-    t, cid: str | None, label: str, counts: OutcomeCounts, trials: int,
-    seconds: float,
-) -> None:
-    """Fold a finished campaign into counters and emit ``campaign.end``."""
-    outcomes = {
-        o.value: n for o, n in counts.counts.items() if n
-    }
-    t.count("fi.campaigns")
-    t.count("fi.trials", trials)
-    for name, n in outcomes.items():
-        t.count(f"fi.outcome.{name}", n)
-    t.emit(
-        "campaign.end",
-        {
-            "label": label,
-            "trials": trials,
-            "outcomes": outcomes,
-            "seconds": seconds,
-            "trials_per_s": trials / seconds if seconds > 0 else 0.0,
-        },
-        campaign=cid,
-    )
-
-
-def _run_sites(
-    program: Program,
-    sites: list[FaultSite],
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
+def _execute(
+    ctx: _TrialContext, chunks: list[list[tuple]], n_trials: int,
+    workers: int, pool_factory, module_text: str | None, obs_label: str,
+    cid: str | None, max_retries: int | None, task_timeout: float | None,
 ) -> list[tuple[int, Outcome]]:
-    """Execute a list of fault sites serially or across processes."""
-    t = _obs_current()
-    if pool_factory is None and (workers <= 1 or len(sites) < 32):
-        t0 = time.perf_counter()
-        out = []
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep, _span("chunk", {"trials": len(sites)}, infra=True):
-            for s in sites:
-                out.append(
-                    (
-                        s.iid,
-                        inject_one(
-                            program,
-                            s,
-                            golden_output,
-                            golden_steps,
-                            args=args,
-                            bindings=bindings,
-                            rel_tol=rel_tol,
-                            abs_tol=abs_tol,
-                        ),
-                    )
-                )
-                if rep is not None:
-                    rep.update(1)
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid,
-                _batch_info_serial(len(sites), t0), "serial",
-            )
-        return out
-    workers = max(1, workers)
-    module_text = print_module(program.module)
-    raw_sites = [(s.iid, s.instance, s.bit) for s in sites]
-    chunk = max(8, len(raw_sites) // (workers * 4))
-    span_root = t.current_span() if t is not None else None
-    batches = [
-        (
-            module_text,
-            args,
-            bindings,
-            raw_sites[i : i + chunk],
-            golden_output,
-            golden_steps,
-            rel_tol,
-            abs_tol,
-            t is not None,
-            span_root,
-        )
-        for i in range(0, len(raw_sites), chunk)
-    ]
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
+    """Run planned chunks serially or pooled; reassemble in sampling order.
 
-    def on_result(res) -> None:
-        rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
-        if rep is not None:
-            rep.update(len(rows))
-
-    with progress_scope(rep):
-        results = parallel_map(
-            _inject_batch, batches, workers=workers, on_result=on_result,
-            max_retries=max_retries, task_timeout=task_timeout,
-            pool_factory=pool_factory,
-        )
-    return [(iid, Outcome(o)) for batch, _ in results for iid, o in batch]
-
-
-def _run_sites_checkpointed(
-    program: Program,
-    sites: list[FaultSite],
-    store: CheckpointStore,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
-) -> list[tuple[int, Outcome]]:
-    """Checkpoint-resume scheduler: sort trials by injection point, resume
-    each from the nearest preceding golden snapshot, batch across workers.
-
-    Results are reassembled in the original sampling order, so ``per_fault``
-    (and therefore every downstream number) is independent of the schedule —
-    identical to the cold serial path for the same seed.
+    A campaign runs in-process unless a fabric ``pool_factory`` is set or
+    it has at least two workers, 32 trials and two chunks. The pooled path
+    ships ``module_text`` (printed here when the caller has none) to each
+    worker once, through the initializer.
     """
     t = _obs_current()
-    snap_index = [store.snapshot_index_for(s.iid, s.instance) for s in sites]
-    # Trials sharing a snapshot run back-to-back (restore locality), ordered
-    # by instance within it so execution sweeps the golden timeline once.
-    order = sorted(
-        range(len(sites)), key=lambda k: (snap_index[k], sites[k].instance)
-    )
-    results: list = [None] * len(sites)
-    if pool_factory is None and (workers <= 1 or len(sites) < 32):
+    rep = t.progress_for(obs_label, n_trials) if t is not None else None
+    if pool_factory is None and (
+        workers <= 1 or n_trials < 32 or len(chunks) < 2
+    ):
         t0 = time.perf_counter()
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep, _span("chunk", {"trials": len(sites)}, infra=True):
-            for k in order:
-                s = sites[k]
-                results[k] = (
-                    s.iid,
-                    inject_one_resumed(
-                        program,
-                        s,
-                        store,
-                        golden_output,
-                        golden_steps,
-                        args=args,
-                        bindings=bindings,
-                        rel_tol=rel_tol,
-                        abs_tol=abs_tol,
-                        snapshot_index=snap_index[k],
-                    ),
-                )
-                if rep is not None:
-                    rep.update(1)
+        tick = rep.update if rep is not None else None
+        with progress_scope(rep):
+            rows = [r for chunk in chunks for r in _run_chunk(ctx, chunk, tick)]
         if t is not None:
-            _merge_batch_info(
-                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
-            )
-        return results
-    workers = max(1, workers)
-    module_text = print_module(program.module)
-    raw = [
-        (k, sites[k].iid, sites[k].instance, sites[k].bit, snap_index[k])
-        for k in order
-    ]
-    chunk = max(8, len(raw) // (workers * 4))
-    batches = [raw[i : i + chunk] for i in range(0, len(raw), chunk)]
-    init_args = (
-        module_text, store, golden_output, golden_steps, args, bindings,
-        rel_tol, abs_tol, t is not None,
-        t.current_span() if t is not None else None,
+            _merge_batch_info(t, cid, _batch_info(n_trials, t0), "serial")
+        return _reassemble(n_trials, rows)
+    if module_text is None:
+        module_text = print_module(ctx.program.module)
+    ctx = ctx._replace(
+        obs=t is not None, span_root=t.current_span() if t is not None else None
     )
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
 
     def on_result(res) -> None:
         rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
+        _merge_batch_info(t, cid, info, "worker")
         if rep is not None:
             rep.update(len(rows))
 
     with progress_scope(rep):
         out = parallel_map(
-            _inject_batch_resumed,
-            batches,
-            workers=workers,
-            initializer=_init_ckpt_worker,
-            initargs=init_args,
-            on_result=on_result,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            pool_factory=pool_factory,
+            _worker_chunk, chunks, workers=max(1, workers),
+            initializer=_init_worker, initargs=(module_text, *ctx[1:]),
+            on_result=on_result, max_retries=max_retries,
+            task_timeout=task_timeout, pool_factory=pool_factory,
         )
-    for batch, _ in out:
-        for pos, iid, o in batch:
-            results[pos] = (iid, Outcome(o))
-    return results
-
-
-def _run_sites_batch(
-    program: Program,
-    sites: list[FaultSite],
-    store: CheckpointStore | None,
-    golden_output: list,
-    golden_steps: int,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int,
-    batch_size: int,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    pool_factory=None,
-) -> list[tuple[int, Outcome]]:
-    """Lockstep-batch scheduler: vectorize trials ``batch_size`` at a time.
-
-    Sites are sorted by (snapshot index, instance) and chunked; each chunk
-    becomes one :func:`~repro.vm.batch.run_trials_lockstep` call seeded
-    from the chunk-minimum snapshot (sorting makes chunks span few
-    checkpoint segments, so the shared mirror replay stays short). Chunks
-    are independent, so the pooled path farms whole chunks to supervised
-    workers; results reassemble in sampling order either way, keeping
-    outcomes byte-identical across engines and worker counts.
-    """
-    t = _obs_current()
-    if store is not None:
-        snap_index = [
-            store.snapshot_index_for(s.iid, s.instance) for s in sites
-        ]
-    else:
-        snap_index = [-1] * len(sites)
-    order = sorted(
-        range(len(sites)), key=lambda k: (snap_index[k], sites[k].instance)
-    )
-    raw = [
-        (k, sites[k].iid, sites[k].instance, sites[k].bit, snap_index[k])
-        for k in order
-    ]
-    chunks = [raw[i : i + batch_size] for i in range(0, len(raw), batch_size)]
-    results: list = [None] * len(sites)
-    if pool_factory is None and (workers <= 1 or len(chunks) < 2):
-        t0 = time.perf_counter()
-        with progress_scope(
-            t.progress_for(obs_label, len(sites)) if t is not None else None
-        ) as rep:
-            for chunk in chunks:
-                rows = _run_chunk_lockstep(
-                    program, chunk, store, golden_output, golden_steps,
-                    args, bindings, rel_tol, abs_tol,
-                )
-                for pos, iid, o in rows:
-                    results[pos] = (iid, Outcome(o))
-                if rep is not None:
-                    rep.update(len(rows))
-        if t is not None:
-            _merge_batch_info(
-                t, obs_cid, _batch_info_serial(len(sites), t0), "serial"
-            )
-        return results
-    module_text = print_module(program.module)
-    init_args = (
-        module_text, store, golden_output, golden_steps, args, bindings,
-        rel_tol, abs_tol, t is not None,
-        t.current_span() if t is not None else None,
-    )
-    rep = t.progress_for(obs_label, len(sites)) if t is not None else None
-
-    def on_result(res) -> None:
-        rows, info = res
-        _merge_batch_info(t, obs_cid, info, "worker")
-        if rep is not None:
-            rep.update(len(rows))
-
-    with progress_scope(rep):
-        out = parallel_map(
-            _inject_chunk_lockstep,
-            chunks,
-            workers=max(1, workers),
-            initializer=_init_lockstep_worker,
-            initargs=init_args,
-            on_result=on_result,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            pool_factory=pool_factory,
-        )
-    for rows, _info in out:
-        for pos, iid, o in rows:
-            results[pos] = (iid, Outcome(o))
-    return results
+    return _reassemble(n_trials, (r for rows, _info in out for r in rows))
 
 
 def _resolve_store(
-    program: Program,
-    args,
-    bindings,
-    profile: DynamicProfile,
-    checkpoint_interval,
-    checkpoints: CheckpointStore | None,
+    program: Program, args, bindings, profile: DynamicProfile,
+    checkpoint_interval, checkpoints: CheckpointStore | None,
 ) -> CheckpointStore | None:
     """Normalize the checkpointing request of a campaign entry point.
 
@@ -743,33 +443,21 @@ def _resolve_store(
     else:
         interval = int(checkpoint_interval)
     return record_checkpoints(
-        program,
-        args=args,
-        bindings=bindings,
-        interval=interval,
+        program, args=args, bindings=bindings, interval=interval,
         steps_hint=profile.steps,
     )
 
 
-def _dispatch_sites(
-    program: Program,
-    sites: list[FaultSite],
-    store: CheckpointStore | None,
-    profile: DynamicProfile,
-    args,
-    bindings,
-    rel_tol: float,
-    abs_tol: float,
-    workers: int | None,
-    obs_label: str = "fi",
-    obs_cid: str | None = None,
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    engine: str | None = None,
-    batch_size: int | None = None,
-    transport: str | None = None,
-) -> list[tuple[int, Outcome]]:
-    """Route a site list to the scalar (cold/resumed) or batch executor.
+def _campaign(
+    program: Program, sites: list[FaultSite], store: CheckpointStore | None,
+    profile: DynamicProfile, args, bindings, rel_tol: float, abs_tol: float,
+    *, label: str, obs_label: str, begin: dict, module_text: str | None,
+    workers: int | None, engine: str | None, batch_size: int | None,
+    transport: str | None, max_retries: int | None,
+    task_timeout: float | None,
+) -> tuple[list[tuple[int, Outcome]], OutcomeCounts]:
+    """The shared body of both entry points: run ``sites``, return
+    ``(per_fault, counts)`` with ``per_fault`` in sampling order.
 
     ``engine``/``batch_size`` default through :func:`resolve_engine` /
     :func:`resolve_batch_size` (explicit > ``engine_scope`` >
@@ -780,29 +468,77 @@ def _dispatch_sites(
     (:mod:`repro.fabric.harness`) behind the same supervisor. Like the
     engine and the worker count, the transport is an execution strategy,
     never part of a cache key: every combination produces bit-identical
-    outcome lists.
+    outcome lists. ``begin`` holds the entry point's own ``campaign.begin``
+    fields.
     """
     from repro.fabric.harness import resolve_fabric
 
-    workers = resolve_workers(workers)
-    _kind, pool_factory = resolve_fabric(transport)
-    if resolve_engine(engine) == "batch":
-        return _run_sites_batch(
-            program, sites, store, profile.output, profile.steps, args,
-            bindings, rel_tol, abs_tol, workers, resolve_batch_size(batch_size),
-            obs_label, obs_cid, max_retries, task_timeout,
-            pool_factory=pool_factory,
+    engine = resolve_engine(engine)
+    t = _obs_current()
+    cid = t.new_campaign() if t is not None else None
+    if t is not None:
+        t.emit(
+            "campaign.begin",
+            {
+                "label": label,
+                "trials": len(sites),
+                **begin,
+                "checkpointed": store is not None,
+                "engine": engine,
+            },
+            campaign=cid,
         )
-    if store is None:
-        return _run_sites(
-            program, sites, profile.output, profile.steps, args, bindings,
-            rel_tol, abs_tol, workers, obs_label, obs_cid,
-            max_retries, task_timeout, pool_factory=pool_factory,
+    t0 = time.perf_counter()
+    with _span(
+        "campaign",
+        {"label": label, "trials": len(sites), "engine": engine},
+        campaign=cid,
+    ):
+        workers = resolve_workers(workers)
+        _kind, pool_factory = resolve_fabric(transport)
+        if engine == "batch":
+            chunk_size = resolve_batch_size(batch_size)
+        else:
+            chunk_size = max(8, len(sites) // (max(1, workers) * 4))
+        ctx = _TrialContext(
+            program, store, profile.output, profile.steps, args, bindings,
+            rel_tol, abs_tol, engine,
         )
-    return _run_sites_checkpointed(
-        program, sites, store, profile.output, profile.steps, args, bindings,
-        rel_tol, abs_tol, workers, obs_label, obs_cid,
-        max_retries, task_timeout, pool_factory=pool_factory,
+        per_fault = _execute(
+            ctx, _plan(sites, store, chunk_size), len(sites), workers,
+            pool_factory, module_text, obs_label, cid, max_retries,
+            task_timeout,
+        )
+    counts = OutcomeCounts()
+    for _, o in per_fault:
+        counts.record(o)
+    if t is not None:
+        _note_campaign(
+            t, cid, label, counts, len(sites), time.perf_counter() - t0
+        )
+    return per_fault, counts
+
+
+def _note_campaign(
+    t, cid: str | None, label: str, counts: OutcomeCounts, trials: int,
+    seconds: float,
+) -> None:
+    """Fold a finished campaign into counters and emit ``campaign.end``."""
+    outcomes = {o.value: n for o, n in counts.counts.items() if n}
+    t.count("fi.campaigns")
+    t.count("fi.trials", trials)
+    for name, n in outcomes.items():
+        t.count(f"fi.outcome.{name}", n)
+    t.emit(
+        "campaign.end",
+        {
+            "label": label,
+            "trials": trials,
+            "outcomes": outcomes,
+            "seconds": seconds,
+            "trials_per_s": trials / seconds if seconds > 0 else 0.0,
+        },
+        campaign=cid,
     )
 
 
@@ -936,15 +672,15 @@ def run_campaign(
     defers to ``engine_scope``/``REPRO_ENGINE``) — like the worker count,
     they never enter cache keys. ``transport`` selects the dispatch fabric
     (``None`` defers to ``fabric_scope``/``REPRO_FABRIC_TRANSPORT``; see
-    :func:`_dispatch_sites`) — also an execution strategy with no effect
-    on results or cache keys.
+    :func:`_campaign`) — also an execution strategy with no effect on
+    results or cache keys.
     """
     store_cache = _cache_for(cache)
-    key = None
+    module_text = key = None
     if store_cache is not None:
+        module_text = print_module(program.module)
         key = whole_program_key(
-            print_module(program.module), args, bindings, rel_tol, abs_tol,
-            n_faults, seed,
+            module_text, args, bindings, rel_tol, abs_tol, n_faults, seed,
         )
         cached = _decode_campaign(store_cache.get(key))
         if cached is not None:
@@ -957,43 +693,13 @@ def run_campaign(
     )
     rng = RngStream(seed, "campaign")
     sites = sample_fault_sites(program.module, profile, n_faults, rng)
-    t = _obs_current()
-    cid = t.new_campaign() if t is not None else None
-    if t is not None:
-        t.emit(
-            "campaign.begin",
-            {
-                "label": "fi.whole-program",
-                "trials": len(sites),
-                "seed": seed,
-                "checkpointed": store is not None,
-                "engine": resolve_engine(engine),
-            },
-            campaign=cid,
-        )
-    t0 = time.perf_counter()
-    with _span(
-        "campaign",
-        {
-            "label": "fi.whole-program",
-            "trials": len(sites),
-            "engine": resolve_engine(engine),
-        },
-        campaign=cid,
-    ):
-        per_fault = _dispatch_sites(
-            program, sites, store, profile, args, bindings, rel_tol, abs_tol,
-            workers, "fi campaign", cid, max_retries, task_timeout,
-            engine, batch_size, transport,
-        )
-    counts = OutcomeCounts()
-    for _, o in per_fault:
-        counts.record(o)
-    if t is not None:
-        _note_campaign(
-            t, cid, "fi.whole-program", counts, len(sites),
-            time.perf_counter() - t0,
-        )
+    per_fault, counts = _campaign(
+        program, sites, store, profile, args, bindings, rel_tol, abs_tol,
+        label="fi.whole-program", obs_label="fi campaign",
+        begin={"seed": seed}, module_text=module_text, workers=workers,
+        engine=engine, batch_size=batch_size, transport=transport,
+        max_retries=max_retries, task_timeout=task_timeout,
+    )
     result = CampaignResult(
         counts=counts, per_fault=per_fault, trials=len(sites)
     )
@@ -1039,10 +745,11 @@ def run_per_instruction_campaign(
     module = program.module
     targets = only_iids if only_iids is not None else injectable_iids(module)
     store_cache = _cache_for(cache)
-    key = None
+    module_text = key = None
     if store_cache is not None:
+        module_text = print_module(module)
         key = per_instruction_key(
-            print_module(module), args, bindings, rel_tol, abs_tol,
+            module_text, args, bindings, rel_tol, abs_tol,
             trials_per_instruction, seed, targets,
         )
         payload = store_cache.get(key)
@@ -1067,47 +774,21 @@ def run_per_instruction_campaign(
                 module, profile, iid, trials_per_instruction, rng.child(iid)
             )
         )
-    t = _obs_current()
-    cid = t.new_campaign() if t is not None else None
-    if t is not None:
-        t.emit(
-            "campaign.begin",
-            {
-                "label": "fi.per-instruction",
-                "trials": len(all_sites),
-                "seed": seed,
-                "n_iids": len(targets),
-                "trials_per_instruction": trials_per_instruction,
-                "checkpointed": store is not None,
-                "engine": resolve_engine(engine),
-            },
-            campaign=cid,
-        )
-    t0 = time.perf_counter()
-    with _span(
-        "campaign",
-        {
-            "label": "fi.per-instruction",
-            "trials": len(all_sites),
-            "engine": resolve_engine(engine),
+    per_fault, _counts = _campaign(
+        program, all_sites, store, profile, args, bindings, rel_tol, abs_tol,
+        label="fi.per-instruction", obs_label="per-instruction fi",
+        begin={
+            "seed": seed,
+            "n_iids": len(targets),
+            "trials_per_instruction": trials_per_instruction,
         },
-        campaign=cid,
-    ):
-        per_fault = _dispatch_sites(
-            program, all_sites, store, profile, args, bindings, rel_tol,
-            abs_tol, workers, "per-instruction fi", cid, max_retries,
-            task_timeout, engine, batch_size, transport,
-        )
+        module_text=module_text, workers=workers, engine=engine,
+        batch_size=batch_size, transport=transport,
+        max_retries=max_retries, task_timeout=task_timeout,
+    )
     per_iid: dict[int, OutcomeCounts] = {}
-    agg = OutcomeCounts()
     for iid, o in per_fault:
         per_iid.setdefault(iid, OutcomeCounts()).record(o)
-        agg.record(o)
-    if t is not None:
-        _note_campaign(
-            t, cid, "fi.per-instruction", agg, len(all_sites),
-            time.perf_counter() - t0,
-        )
     result = PerInstructionResult(
         per_iid=per_iid,
         profile=profile,

@@ -14,12 +14,17 @@ import time
 from dataclasses import dataclass, field
 
 from repro.apps import get_app
-from repro.fi.campaign import CampaignResult, run_campaign
+from repro.fi.campaign import (
+    _ENGINES,
+    CampaignResult,
+    _plan,
+    _reassemble,
+    _TrialContext,
+    run_campaign,
+)
 from repro.fi.faultmodel import sample_fault_sites
-from repro.fi.injector import inject_one
-from repro.fi.outcome import classify_run
 from repro.util.rng import RngStream
-from repro.vm.batch import BatchStats, resolve_batch_size, run_trials_lockstep
+from repro.vm.batch import BatchStats, resolve_batch_size
 from repro.vm.checkpoint import auto_interval
 from repro.vm.profiler import profile_run
 
@@ -230,11 +235,12 @@ def measure_batch_throughput(
     list a ``run_campaign(n_faults, seed)`` would sample, so the ratio is
     the honest per-trial speedup of lockstep vectorization — checkpoint
     resume composes on top and is measured separately by
-    :func:`measure_fi_throughput`. The scalar side times
-    :func:`~repro.fi.injector.inject_one` per site; the batch side times
-    :func:`~repro.vm.batch.run_trials_lockstep` over ``batch_size``-wide
-    chunks of the same list, and the two outcome sequences are compared
-    element-wise for the bit-identity guarantee. Detach/reconverge counts
+    :func:`measure_fi_throughput`. Both sides time the chunk runners a
+    campaign itself dispatches to (:mod:`repro.fi.campaign`'s engine
+    table) over the campaign's own plan of that list: the scalar runner
+    as one chunk, the lockstep runner in ``batch_size``-wide chunks. The
+    two outcome sequences, in sampling order, are compared element-wise
+    for the bit-identity guarantee. Detach/reconverge counts
     and lockstep occupancy come from the engine's own
     :class:`~repro.vm.batch.BatchStats`.
 
@@ -249,41 +255,31 @@ def measure_batch_throughput(
     profile = profile_run(program, args=args, bindings=bindings)
     rng = RngStream(seed, "campaign")
     sites = sample_fault_sites(program.module, profile, n_faults, rng)
-    limit = profile.steps * 8 + 10_000
     width = resolve_batch_size(batch_size)
     repeats = max(1, repeats)
+    ctx = _TrialContext(
+        program, None, profile.output, profile.steps, args, bindings,
+        app.rel_tol, app.abs_tol,
+    )
 
-    scalar_seconds = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar = [
-            inject_one(
-                program, s, profile.output, profile.steps,
-                args=args, bindings=bindings,
-                rel_tol=app.rel_tol, abs_tol=app.abs_tol,
-            )
-            for s in sites
-        ]
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - t0)
+    def timed(engine: str, chunk_size: int, runs: int):
+        """Best-of-``runs`` seconds, sampling-order outcomes, last stats."""
+        chunks = _plan(sites, None, chunk_size)
+        best = float("inf")
+        for _ in range(runs):
+            stats = BatchStats()
+            t0 = time.perf_counter()
+            rows = [
+                r for chunk in chunks
+                for r in _ENGINES[engine](ctx, chunk, stats=stats)
+            ]
+            best = min(best, time.perf_counter() - t0)
+        return best, [o for _iid, o in _reassemble(len(sites), rows)], stats
 
-    specs = [s.to_spec() for s in sites]
-    batch_seconds = float("inf")
-    for _ in range(max(1, batch_repeats or repeats)):
-        stats = BatchStats()
-        batched = []
-        t0 = time.perf_counter()
-        for i in range(0, len(specs), width):
-            results, st = run_trials_lockstep(
-                program, specs[i : i + width], args=args, bindings=bindings,
-                golden_output=profile.output, step_limit=limit,
-            )
-            stats.merge(st)
-            batched.extend(
-                classify_run(profile.output, out, trap,
-                             app.rel_tol, app.abs_tol)
-                for out, trap in results
-            )
-        batch_seconds = min(batch_seconds, time.perf_counter() - t0)
+    scalar_seconds, scalar, _ = timed("scalar", max(1, len(sites)), repeats)
+    batch_seconds, batched, stats = timed(
+        "batch", width, max(1, batch_repeats or repeats)
+    )
 
     counts: dict[str, int] = {}
     for o in scalar:

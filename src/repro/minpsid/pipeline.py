@@ -13,10 +13,10 @@ from repro.apps.base import App
 from repro.cache.active import cache_scope
 from repro.minpsid.reprioritize import reprioritize
 from repro.minpsid.search import InputSearchConfig, SearchOutcome, run_input_search
-from repro.sid.duplication import ProtectedModule, duplicate_instructions
+from repro.detectors.transform import ProtectedModule, duplicate_instructions
 from repro.sid.profiles import CostBenefitProfile, build_profile_from_source
 from repro.sid.selection import SelectionResult, select_instructions
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.vm.profiler import profile_run
 
 __all__ = ["MINPSIDConfig", "MINPSIDResult", "minpsid"]
@@ -60,7 +60,7 @@ class MINPSIDResult:
     #: The original reference-input profile (pre-re-prioritization).
     reference_profile: CostBenefitProfile = field(repr=False, default=None)
     search: SearchOutcome = None
-    stopwatch: Stopwatch = None
+    stopwatch: PhaseTimer = None
 
     @property
     def expected_coverage(self) -> float:
@@ -85,7 +85,7 @@ def minpsid(app: App, config: MINPSIDConfig = MINPSIDConfig()) -> MINPSIDResult:
 
 
 def _minpsid(app: App, config: MINPSIDConfig) -> MINPSIDResult:
-    sw = Stopwatch()
+    sw = PhaseTimer()
     module = app.module
     program = app.program
     args, bindings = app.encode(app.reference_input)

@@ -30,7 +30,7 @@ from repro.minpsid.incubative import (
 from repro.minpsid.wcfg import fitness_score, indexed_cfg_list
 from repro.obs.core import current as _obs_current
 from repro.obs.log import get_logger
-from repro.obs.timers import Stopwatch
+from repro.obs.timers import PhaseTimer
 from repro.util.rng import RngStream
 from repro.vm.profiler import DynamicProfile, profile_run
 
@@ -122,7 +122,7 @@ def run_input_search(
     reference_benefits: BenefitMap,
     seed: int,
     config: InputSearchConfig = InputSearchConfig(),
-    stopwatch: Stopwatch | None = None,
+    stopwatch: PhaseTimer | None = None,
 ) -> SearchOutcome:
     """Run the search engine starting from the app's reference input.
 
@@ -145,9 +145,9 @@ def _run_input_search(
     reference_benefits: BenefitMap,
     seed: int,
     config: InputSearchConfig,
-    stopwatch: Stopwatch | None,
+    stopwatch: PhaseTimer | None,
 ) -> SearchOutcome:
-    sw = stopwatch or Stopwatch()
+    sw = stopwatch or PhaseTimer()
     rng = RngStream(seed, "input-search", config.strategy)
     program = app.program
 

@@ -1,10 +1,10 @@
-"""Exclusive-time phase timers (absorbing ``util.timing.Stopwatch``).
+"""Exclusive-time phase timers.
 
 Semantics
 ---------
 Wall-clock time is charged to the **innermost active phase** — *exclusive*
-time. Consequences, now defined and tested (the old ``Stopwatch`` double- or
-multi-counted any overlap):
+time. Consequences, now defined and tested (an inclusive
+stopwatch would double- or multi-count any overlap):
 
 * Re-entering the same phase name inside itself never double-counts: the
   outer frame stops accruing while the inner one runs, so ``totals[name]``
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 
 from repro.obs.core import current
 
-__all__ = ["PhaseTimer", "Stopwatch"]
+__all__ = ["PhaseTimer"]
 
 
 class PhaseTimer:
@@ -75,6 +75,3 @@ class PhaseTimer:
         parts = ", ".join(f"{k}={v:.3f}s" for k, v in self.totals.items())
         return f"{type(self).__name__}({parts})"
 
-
-#: Backwards-compatible name — the MINPSID pipeline's original timer.
-Stopwatch = PhaseTimer

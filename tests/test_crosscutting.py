@@ -17,7 +17,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.fi.faultmodel import injectable_iids
-from repro.sid.duplication import duplicate_instructions
+from repro.detectors.transform import duplicate_instructions
 from repro.vm.interpreter import Program
 from repro.vm.profiler import profile_run
 

@@ -16,7 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.schema import lint_records, validate_record
 from repro.obs.sink import JsonlTraceSink, MemorySink, NullSink
-from repro.obs.timers import PhaseTimer, Stopwatch
+from repro.obs.timers import PhaseTimer
 
 
 class TestMetricsRegistry:
@@ -201,7 +201,7 @@ class TestPhaseTimer:
         assert sw.total() <= wall + 1e-3  # no overlap inflation
 
     def test_sequential_phases_accumulate(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with sw.phase("a"):
             time.sleep(0.005)
         with sw.phase("a"):
@@ -225,11 +225,6 @@ class TestPhaseTimer:
                 pass
         phases = [r for r in sink.records if r["kind"] == "phase"]
         assert len(phases) == 1 and phases[0]["name"] == "p"
-
-    def test_util_timing_alias(self):
-        from repro.util.timing import Stopwatch as Legacy
-
-        assert Legacy is PhaseTimer
 
 
 class TestProgressReporter:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, DetectedError
 from repro.fi.campaign import run_campaign, run_per_instruction_campaign
 from repro.sid.coverage import coverage_loss, expected_coverage, measured_coverage
-from repro.sid.duplication import duplicate_instructions
+from repro.detectors.transform import duplicate_instructions
 from repro.sid.knapsack import dp_knapsack, greedy_knapsack, knapsack_select
 from repro.sid.pipeline import SIDConfig, classic_sid
 from repro.sid.profiles import build_cost_benefit_profile

@@ -11,7 +11,7 @@ from repro.util.parallel import (
     resolve_workers,
 )
 from repro.util.tables import format_percent, format_table, render_candlestick_row
-from repro.util.timing import Stopwatch
+from repro.obs.timers import PhaseTimer
 
 
 def _square(x):
@@ -130,8 +130,10 @@ class TestTables:
 
 
 class TestStopwatch:
+    """PhaseTimer used as a plain stopwatch over sequential phases."""
+
     def test_accumulates(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with sw.phase("a"):
             time.sleep(0.01)
         with sw.phase("a"):
@@ -139,7 +141,7 @@ class TestStopwatch:
         assert sw.totals["a"] >= 0.02
 
     def test_fractions_sum_to_one(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with sw.phase("a"):
             time.sleep(0.005)
         with sw.phase("b"):
@@ -148,10 +150,10 @@ class TestStopwatch:
         assert pytest.approx(sum(fr.values()), abs=1e-9) == 1.0
 
     def test_empty_fractions(self):
-        assert Stopwatch().fractions() == {}
+        assert PhaseTimer().fractions() == {}
 
     def test_phase_records_on_exception(self):
-        sw = Stopwatch()
+        sw = PhaseTimer()
         with pytest.raises(ValueError):
             with sw.phase("x"):
                 raise ValueError
